@@ -36,12 +36,9 @@ class Fabric:
     unless a fault hook or test asks for the handle (DESIGN.md §13).
     """
 
-    def __init__(self, env: Environment, solver: str | None = None,
-                 solver_jobs: int | None = None,
-                 shard_min_flows: int | None = None):
+    def __init__(self, env: Environment, solver: str | None = None):
         self.env = env
-        self.net = FlowNetwork(env, solver=solver, shard_jobs=solver_jobs,
-                               shard_min_flows=shard_min_flows)
+        self.net = FlowNetwork(env, solver=solver)
         self._loopback: dict[str, int] = {}
         self._ipoib_tx: dict[str, int] = {}
         self._ipoib_rx: dict[str, int] = {}

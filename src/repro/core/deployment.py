@@ -69,16 +69,9 @@ class DeploymentConfig:
     io_hedge: float | None = None
     # Flow-solver mode for the fabric: None → FlowNetwork's default
     # ("incremental"); "reference" retains the full-recompute path for
-    # perf comparisons; "auto" picks per flush; "sharded" additionally
-    # fans large components out over solver_jobs worker processes
-    # (default: os.cpu_count()).  shard_min_flows is the sharded mode's
-    # dispatch threshold — components below it always fill inline; None
-    # defers to REPRO_SHARD_MIN_FLOWS, then the measured default (96).
-    # Bit-identical trajectories in every mode, at every worker count
-    # and at every threshold.
+    # perf comparisons and as the equivalence oracle.  Bit-identical
+    # trajectories in both modes.
     solver: str | None = None
-    solver_jobs: int | None = None
-    shard_min_flows: int | None = None
     # Cluster scale multiplier: n_own and n_victim are both multiplied
     # by `scale` when the deployment is built (DAS-5 ×16 → 1088 nodes).
     # Kept as a separate knob so figure recipes stay written in paper
@@ -182,8 +175,7 @@ class MemFSSDeployment:
         self.rng = RngRegistry(config.seed)
         self.cluster: Cluster = build_das5(
             env, n_nodes=config.n_own + config.n_victim, seed=config.seed,
-            solver=config.solver, solver_jobs=config.solver_jobs,
-            shard_min_flows=config.shard_min_flows)
+            solver=config.solver)
         self.env = self.cluster.env
         res = self.cluster.reservations
 

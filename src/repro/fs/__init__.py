@@ -33,16 +33,3 @@ __all__ = [
     "ScavengingManager", "RepairDaemon",
 ]
 
-
-def __getattr__(name: str):
-    # One-release shim: repro.fs.PlacementPolicy (the runtime object) was
-    # renamed PlacementMap; the name PlacementPolicy now belongs to the
-    # declarative config object in repro.core.policy.
-    if name == "PlacementPolicy":
-        import warnings
-        warnings.warn(
-            "repro.fs.PlacementPolicy was renamed PlacementMap; the "
-            "declarative config object is repro.core.policy.PlacementPolicy",
-            DeprecationWarning, stacklevel=2)
-        return PlacementMap
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,11 +1,10 @@
 """Two-layer stripe placement (paper §III-B), batch-first.
 
 Layer 1 picks the node *class* by weighted HRW; layer 2 picks the node
-within the class by plain HRW.  (This runtime object was called
-``PlacementPolicy`` until the name moved to the declarative config
-object in :mod:`repro.core.policy`; the old name is a deprecated
-alias for one release.)  A :class:`PlacementMap` is immutable —
-membership changes (a victim class joining or leaving) produce a *new*
+within the class by plain HRW.  (The declarative placement config is
+:class:`repro.core.policy.PlacementPolicy`.)  A :class:`PlacementMap` is
+immutable — membership changes (a victim class joining or leaving)
+produce a *new*
 policy — because every file's metadata records the policy under which its
 stripes were placed, and reads must be able to reconstruct exactly that
 placement (:meth:`PlacementMap.from_meta`).
@@ -690,17 +689,3 @@ class PlacementMap:
                           for c, s in self._classes.items())
         return f"<PlacementMap {parts}>"
 
-
-def __getattr__(name: str):
-    # One-release shim: the runtime placement object was renamed
-    # PlacementMap when the declarative PlacementPolicy config moved to
-    # repro.core.policy.
-    if name == "PlacementPolicy":
-        import warnings
-        warnings.warn(
-            "repro.fs.placement.PlacementPolicy was renamed PlacementMap; "
-            "the declarative config object is repro.core.policy."
-            "PlacementPolicy",
-            DeprecationWarning, stacklevel=2)
-        return PlacementMap
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,38 +11,15 @@ to CPU/NIC utilization (and the perf suite can assert budgets on it).
 
 from __future__ import annotations
 
-from ..sim.flownet import flownet_stats
+from ..sim.flownet import FlowNetStats, flownet_stats
 from ..sim.monitor import Monitor, TimeSeries
-from ..sim.select import selection_snapshot, selection_summary
 
-__all__ = ["solver_counters", "attach_solver_probes",
-           "selector_decisions", "selector_summary"]
-
-_FIELDS = ("solves", "full_solves", "rounds", "flows_touched",
-           "links_touched", "batch_coalesced", "auto_full",
-           "auto_incremental", "stalemates", "shards_dispatched",
-           "shard_imbalance")
+__all__ = ["solver_counters", "attach_solver_probes"]
 
 
 def solver_counters() -> dict[str, int]:
     """Current flow-solver counters (cumulative since last reset)."""
     return flownet_stats.snapshot()
-
-
-def selector_decisions() -> list[dict]:
-    """The ``"auto"`` solver's decision trace (bounded, oldest first).
-
-    Each entry records the flush time, the chosen strategy, the dirty /
-    total link counts and active-flow count it saw, and the smoothed
-    dirty fraction — enough to audit why a run went full vs incremental.
-    Reset with :func:`repro.sim.reset_selection_log`.
-    """
-    return selection_snapshot()
-
-
-def selector_summary() -> dict:
-    """Aggregate selector view: decision counts + trace overflow."""
-    return selection_summary()
 
 
 def attach_solver_probes(monitor: Monitor,
@@ -55,4 +32,4 @@ def attach_solver_probes(monitor: Monitor,
     return monitor.add_probes({
         f"{prefix}.{field}": (lambda f=field:
                               float(getattr(flownet_stats, f)))
-        for field in _FIELDS})
+        for field in FlowNetStats._COUNTERS})

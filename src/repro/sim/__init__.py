@@ -7,8 +7,6 @@ from .flownet import (FlowNetStats, FlowNetwork, Link, NetFlow,
                       flownet_stats, progressive_fill)
 from .monitor import Monitor, TimeSeries
 from .rng import RngRegistry
-from .select import (SolverSelector, reset_selection_log,
-                     selection_snapshot, selection_summary)
 
 __all__ = [
     "Environment", "Event", "Timeout", "Process", "AllOf", "AnyOf",
@@ -16,7 +14,5 @@ __all__ = [
     "Flow", "FluidResource", "maxmin_allocate",
     "FlowNetwork", "Link", "NetFlow", "progressive_fill",
     "FlowNetStats", "flownet_stats",
-    "SolverSelector", "reset_selection_log", "selection_snapshot",
-    "selection_summary",
     "Monitor", "TimeSeries", "RngRegistry",
 ]

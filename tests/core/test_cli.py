@@ -65,3 +65,13 @@ class TestCli:
     def test_bad_jobs_rejected(self):
         with pytest.raises(Exception):
             main(["fig2", "--tasks", "8", "-j", "0"])
+
+    def test_fig2_profile_writes_artifacts(self, capsys, tmp_path,
+                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["fig2", "--profile", "--tasks", "8"]) == 0
+        assert "profile written" in capsys.readouterr().out
+        pstats_file = tmp_path / "results" / "profile-fig2.pstats"
+        text_file = tmp_path / "results" / "profile-fig2.txt"
+        assert pstats_file.stat().st_size > 0
+        assert "cumulative" in text_file.read_text()

@@ -151,19 +151,10 @@ class TestDeploymentConfigPolicy:
 
 
 class TestPlacementMapRenameShim:
-    def test_fs_package_alias_warns(self):
-        import repro.fs
-        with pytest.warns(DeprecationWarning, match="PlacementMap"):
-            cls = repro.fs.PlacementPolicy
-        assert cls is PlacementMap
-
-    def test_fs_placement_module_alias_warns(self):
-        import repro.fs.placement
-        with pytest.warns(DeprecationWarning, match="PlacementMap"):
-            cls = repro.fs.placement.PlacementPolicy
-        assert cls is PlacementMap
-
     def test_unknown_attribute_still_raises(self):
         import repro.fs.placement
         with pytest.raises(AttributeError):
             repro.fs.placement.NoSuchThing
+        # The renamed runtime object no longer answers to its old name.
+        with pytest.raises(AttributeError):
+            repro.fs.placement.PlacementPolicy

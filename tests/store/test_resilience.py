@@ -53,17 +53,6 @@ class TestErrorTaxonomy:
         assert fall == {StoreErrorCode.MISSING, StoreErrorCode.UNAVAILABLE,
                         StoreErrorCode.TIMEOUT}
 
-    def test_legacy_error_kwarg_and_property(self):
-        resp = Response(ok=False, error="full: store is at capacity")
-        assert resp.code is StoreErrorCode.FULL
-        assert resp.message == "store is at capacity"
-        # The deprecated prefix-encoded shape survives for old consumers.
-        assert resp.error.split(":", 1)[0] == "full"
-
-    def test_unknown_prefix_becomes_bad_request(self):
-        resp = Response(ok=False, error="whatever happened")
-        assert resp.code is StoreErrorCode.BAD_REQUEST
-
     def test_store_error_pickles(self):
         # args hold the formatted string, so the default exception
         # reduce would rebuild with the wrong __init__ arguments — a
