@@ -11,9 +11,10 @@ placement (:meth:`PlacementMap.from_meta`).
 
 Immutability is what makes the two amortizations here safe:
 
-- **Policy interning.**  :meth:`PlacementMap.from_meta` returns one
-  shared instance per distinct metadata snapshot (an LRU-bounded intern
-  cache), so per-request reads stop rebuilding hashers.
+- **Policy interning.**  :meth:`PlacementMap.from_meta` and
+  :meth:`PlacementMap.without_nodes` return one shared instance per
+  distinct membership snapshot (an LRU-bounded intern cache), so
+  per-request reads and per-file recovery stop rebuilding hashers.
 - **Stripe plans.**  :class:`StripePlan` resolves class, primary node and
   replica/erasure chains for *all* keys of a file in one vectorized pass
   (:meth:`PlacementMap.plan_file`, cached per policy), replacing the
@@ -28,7 +29,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -595,14 +596,23 @@ class PlacementMap:
         members = {c: list(spec.nodes) for c, spec in self._classes.items()}
         return weights, members
 
-    def _intern_token(self) -> tuple:
-        return (self.family.name,
+    @staticmethod
+    def _token(family: HashFamily, classes: dict[str, ClassSpec]) -> tuple:
+        return (family.name,
                 tuple((c, float(spec.weight), spec.nodes)
-                      for c, spec in self._classes.items()))
+                      for c, spec in classes.items()))
 
-    @classmethod
-    def _intern_put(cls, token: tuple,
-                    policy: "PlacementMap") -> "PlacementMap":
+    @staticmethod
+    def _interned(token: tuple, build) -> "PlacementMap":
+        """The cached policy for *token*; on a miss, ``build()`` it and
+        cache it under *token*."""
+        cached = _POLICY_CACHE.get(token)
+        if cached is not None:
+            _POLICY_CACHE.move_to_end(token)
+            planner_stats.policy_hits += 1
+            return cached
+        policy = build()
+        planner_stats.policy_misses += 1
         _POLICY_CACHE[token] = policy
         while len(_POLICY_CACHE) > _POLICY_CACHE_SIZE:
             _POLICY_CACHE.popitem(last=False)
@@ -616,14 +626,8 @@ class PlacementMap:
         (metadata reads, eviction sweeps) can share one instance — and with
         it the per-policy plan cache.
         """
-        token = policy._intern_token()
-        cached = _POLICY_CACHE.get(token)
-        if cached is not None:
-            _POLICY_CACHE.move_to_end(token)
-            planner_stats.policy_hits += 1
-            return cached
-        planner_stats.policy_misses += 1
-        return cls._intern_put(token, policy)
+        return cls._interned(cls._token(policy.family, policy._classes),
+                             lambda: policy)
 
     @classmethod
     def from_meta(cls, meta: FileMeta,
@@ -639,16 +643,10 @@ class PlacementMap:
                  tuple((name, float(meta.class_weights[name]),
                         tuple(meta.class_members[name]))
                        for name in meta.class_weights))
-        cached = _POLICY_CACHE.get(token)
-        if cached is not None:
-            _POLICY_CACHE.move_to_end(token)
-            planner_stats.policy_hits += 1
-            return cached
-        planner_stats.policy_misses += 1
-        classes = {name: ClassSpec(meta.class_weights[name],
-                                   tuple(meta.class_members[name]))
-                   for name in meta.class_weights}
-        return cls._intern_put(token, cls(classes, fam))
+        return cls._interned(token, lambda: cls(
+            {name: ClassSpec(meta.class_weights[name],
+                             tuple(meta.class_members[name]))
+             for name in meta.class_weights}, fam))
 
     # -- evolution ---------------------------------------------------------------
     def with_class(self, name: str, weight: float,
@@ -666,18 +664,27 @@ class PlacementMap:
 
     def without_node(self, node: str) -> "PlacementMap":
         """Drop one node (failure / eviction) from whichever class holds it."""
-        classes = {}
-        found = False
-        for cname, spec in self._classes.items():
-            if node in spec.nodes:
-                found = True
-                rest = tuple(n for n in spec.nodes if n != node)
-                classes[cname] = ClassSpec(spec.weight, rest)
-            else:
-                classes[cname] = spec
-        if not found:
-            raise KeyError(node)
-        return PlacementMap(classes, self.family)
+        return self.without_nodes((node,))
+
+    def without_nodes(self, names: Iterable[str]) -> "PlacementMap":
+        """The interned policy with every node in *names* dropped.
+
+        One derivation per membership snapshot: the class specs are
+        filtered in one pass and looked up in the intern cache, so the
+        hashers are built only on a miss.  With nothing to drop this is
+        :meth:`intern` of *self*.  Unknown names raise :class:`KeyError`.
+        """
+        drop = set(names)
+        if not drop:
+            return PlacementMap.intern(self)
+        unknown = drop.difference(self.all_nodes)
+        if unknown:
+            raise KeyError(min(unknown))
+        classes = {c: ClassSpec(spec.weight, tuple(
+                       n for n in spec.nodes if n not in drop))
+                   for c, spec in self._classes.items()}
+        return self._interned(self._token(self.family, classes),
+                              lambda: PlacementMap(classes, self.family))
 
     def reweighted(self, weights: dict[str, float]) -> "PlacementMap":
         classes = {c: ClassSpec(weights.get(c, spec.weight), spec.nodes)

@@ -216,8 +216,7 @@ class ScavengingManager:
         fault_stats.evacuations += 1
         # 1. Stop placing new data on the node (before queueing).
         if name in self.fs.policy.all_nodes:
-            self.fs.policy = PlacementMap.intern(
-                self.fs.policy.without_node(name))
+            self.fs.policy = self.fs.policy.without_nodes({name})
         yield from self._evac_lock.acquire()
         try:
             moved = yield from self._drain(node, server)
@@ -230,11 +229,9 @@ class ScavengingManager:
     def _live_policy(self, policy: PlacementMap) -> PlacementMap:
         """*policy* restricted to nodes that can receive migrated data:
         up, not mid-evacuation."""
-        out = policy
-        for n in policy.all_nodes:
-            if n in self._evacuating or n not in self.fs.servers:
-                out = out.without_node(n)
-        return PlacementMap.intern(out)
+        return policy.without_nodes(
+            n for n in policy.all_nodes
+            if n in self._evacuating or n not in self.fs.servers)
 
     def _drain(self, node: Node, server: StoreServer):
         """Generator: copy every stripe *node* holds to live replacements."""
@@ -520,8 +517,7 @@ class ScavengingManager:
         self.fs.servers.pop(name, None)
         self.fs.domains.pop(name, None)
         if name in self.fs.policy.all_nodes:
-            self.fs.policy = PlacementMap.intern(
-                self.fs.policy.without_node(name))
+            self.fs.policy = self.fs.policy.without_nodes({name})
         lease = self.leases.pop(name, None)
         if lease is not None and lease.active:
             # Wakes the watcher; its evacuate() no-ops (no server left).
@@ -688,10 +684,7 @@ class RepairDaemon:
         old_policy = PlacementMap.from_meta(meta, self.fs.policy.family)
         dead = [n for n in old_policy.all_nodes
                 if n not in self.fs.servers]
-        live_policy = old_policy
-        for n in dead:
-            live_policy = live_policy.without_node(n)
-        live_policy = PlacementMap.intern(live_policy)
+        live_policy = old_policy.without_nodes(dead)
         plan = live_policy.plan_file(meta.inode, meta.n_stripes,
                                      erasure=meta.erasure)
         asg = None

@@ -3,6 +3,8 @@
 import collections
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fs import ClassSpec, FileMeta, PlacementMap
 from repro.hashing import MIX64, own_victim_weights
@@ -107,6 +109,15 @@ class TestMetaRoundTrip:
         assert [q.place(k) for k in keys] == [p.place(k) for k in keys]
 
 
+MULTI = PlacementMap({
+    "own": ClassSpec(own_victim_weights(0.3)["own"], ("own0", "own1")),
+    "victim": ClassSpec(own_victim_weights(0.3)["victim"],
+                        tuple(f"vic{i}" for i in range(5))),
+    "spot": ClassSpec(float(MIX64.modulus) / 2, ("spot0", "spot1", "spot2")),
+})
+SAMPLE = [("s", i) for i in range(64)]
+
+
 class TestEvolution:
     def test_with_class_adds(self):
         p = make_policy()
@@ -132,6 +143,32 @@ class TestEvolution:
     def test_without_node_unknown(self):
         with pytest.raises(KeyError):
             make_policy().without_node("zzz")
+
+    @given(st.sets(st.sampled_from(MULTI.all_nodes),
+                   max_size=len(MULTI.all_nodes) - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_without_nodes_matches_chained_fold(self, drop):
+        folded = MULTI
+        for n in sorted(drop):
+            folded = folded.without_node(n)
+        # A fresh map built from the filtered specs, outside any cache.
+        rebuilt = PlacementMap({
+            c: ClassSpec(spec.weight,
+                         tuple(n for n in spec.nodes if n not in drop))
+            for c, spec in MULTI.classes.items()})
+        derived = MULTI.without_nodes(drop)
+        assert derived.snapshot() == folded.snapshot() == rebuilt.snapshot()
+        assert [derived.place(k) for k in SAMPLE] == \
+            [folded.place(k) for k in SAMPLE] == \
+            [rebuilt.place(k) for k in SAMPLE]
+        assert [derived.ranked(k) for k in SAMPLE] == \
+            [folded.ranked(k) for k in SAMPLE] == \
+            [rebuilt.ranked(k) for k in SAMPLE]
+        assert MULTI.without_nodes(list(drop)) is derived
+
+    def test_without_nodes_rejects_removing_everything(self):
+        with pytest.raises(ValueError):
+            MULTI.without_nodes(MULTI.all_nodes)
 
     def test_reweighted(self):
         p = make_policy(alpha=0.5)

@@ -4,11 +4,13 @@ concurrent revocations, crash handling and the repair daemon."""
 import pytest
 
 from repro.cluster import build_das5
-from repro.faults import fault_stats
-from repro.fs import ClassSpec, MemFSS, PlacementMap, ScavengingManager
+from repro.faults import FaultInjector, fault_stats, revocation_storm
+from repro.fs import (ClassSpec, MemFSS, PlacementMap, ScavengingManager,
+                      planner_stats)
 from repro.fs.scavenger import RepairDaemon
 from repro.fs.striping import stripe_key
-from repro.hashing import own_victim_weights
+from repro.hashing import HrwHasher, own_victim_weights
+from repro.sim.rng import RngRegistry
 from repro.store import StoreServer
 from repro.units import GB
 
@@ -242,3 +244,47 @@ class TestCrashAndRepair:
         assert fault_stats.open_faults == ()
         assert fault_stats.recoveries == 1
         assert fault_stats.mttr() >= 0.0
+
+
+class TestLivePolicyDerivation:
+    def test_storm_builds_hashers_only_on_intern_misses(self, monkeypatch):
+        """Evacuation and repair derive each live policy through the
+        intern cache: a hasher is built only when a new membership
+        snapshot misses it (two classes, so at most two per miss)."""
+        builds = [0]
+        init = HrwHasher.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(HrwHasher, "__init__", counting_init)
+        cluster, fs, mgr, own, victims = build_rig(alpha=0.25, n_victim=8,
+                                                   replication=2)
+        setup_builds = builds[0]
+        setup_hits = planner_stats.policy_hits
+        setup_misses = planner_stats.policy_misses
+        blobs = write_blobs(cluster, fs, own, count=12)
+        inj = FaultInjector(cluster.env, revocation_storm(at=0.01,
+                                                          fraction=0.5),
+                            manager=mgr, reservations=cluster.reservations,
+                            rng=RngRegistry(5))
+        inj.start()
+        cluster.env.run()
+        assert mgr.evictions == 4
+        # A drain can land a copy on the stripe's other replica holder;
+        # repair restores replication before a survivor crashes, and the
+        # second sweep re-derives the live policy for every file that
+        # recorded the dead node.
+        daemon = RepairDaemon(cluster.env, fs, manager=mgr)
+        run(cluster, daemon.sweep())
+        crashed = next(v.name for v in victims if v.name in fs.servers)
+        fs.servers[crashed].crash()
+        mgr.handle_crash(crashed)
+        run(cluster, daemon.sweep())
+        for path, blob in blobs.items():
+            _n, back = run(cluster, fs.read_file(own[0], path))
+            assert back == blob, path
+        misses = planner_stats.policy_misses - setup_misses
+        assert planner_stats.policy_hits > setup_hits
+        assert builds[0] - setup_builds <= 2 * misses
