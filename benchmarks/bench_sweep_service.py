@@ -7,9 +7,11 @@ publishes the v2 ``BENCH_sweep.json`` trajectory:
   partition colocates the two big cells on one worker — the shape where
   a static slice wastes every fast worker's idle tail.  The sweep runs
   serial (cold store fill), statically sharded, work-stealing, and
-  warm from the store; all four must be byte-identical, and the
-  stealing-beats-static makespan gate (≥ 1.2×) arms only on full runs
-  with ≥ 4 usable cores — starved runners record the number instead.
+  warm from the store; all four must be byte-identical, the warm re-run
+  must answer every cell from the store and beat serial by ≥ 2.5× at
+  any scale, and the stealing-beats-static makespan gate (≥ 1.2×) arms
+  only on full runs with ≥ 4 usable cores — starved runners record the
+  number instead.
 * **Injected crash.**  A stealing run over slowdown-suite cells plus a
   ``debug-flaky`` spec whose first attempt hard-kills its worker: the
   task must be requeued and retried, and the surviving payloads must
@@ -50,6 +52,8 @@ RESULTS = Path(__file__).resolve().parent / "results"
 JOBS = 2 if SMOKE else 4
 #: The stealing-vs-static makespan gate (full runs, ≥ 4 cores only).
 STEAL_GATE = 1.2
+#: A warm re-run answered from the store must beat serial by this much.
+WARM_GATE = 2.5
 
 # Cell sizes: "small" cells are quick fills, "big" cells the stragglers
 # (~50× a small cell at full scale).  The big cells sit at spec indices
@@ -310,6 +314,7 @@ def test_sweep_service(benchmark):
     assert straggler["cold_counters"]["store_stores"] == n
     assert straggler["warm_counters"]["store_hits"] == n
     assert straggler["warm_counters"]["scenarios_run"] == 0
+    assert straggler["warm_store_speedup"] >= WARM_GATE
 
     # The injected crash was retried, not dropped, and changed nothing.
     crash = data["crash"]

@@ -1,11 +1,10 @@
 """Work-stealing sweep scheduler: shared queue, heartbeats, retries.
 
-The process backend of :class:`~repro.exec.runner.SweepRunner` carves a
-sweep into one future per scenario and lets a ``ProcessPoolExecutor``
-hand them out — which is already pull-based, but gives the parent no
+The parallel backend of :class:`~repro.exec.runner.SweepRunner`.  A
+static pool that hands out one future per scenario gives the parent no
 liveness signal and turns any worker death into a broken pool that
-aborts the whole sweep.  This scheduler replaces the pool with an
-explicit shared work queue and long-lived spawn workers:
+aborts the whole sweep.  This scheduler instead keeps an explicit
+shared work queue and long-lived spawn workers:
 
 * **Work stealing.**  Every worker pulls the next undone spec from one
   shared queue the moment it goes idle, so a straggler cell (a long-α
@@ -25,7 +24,7 @@ explicit shared work queue and long-lived spawn workers:
   (up to *max_retries*) and re-executed — deterministic payloads make
   the retry byte-identical — while a spec that *raises* surfaces
   immediately as the same typed :class:`~repro.exec.runner
-  .ScenarioError` the other backends raise.  The upward channel is a
+  .ScenarioError` the serial backend raises.  The upward channel is a
   raw ``Pipe``, not a ``multiprocessing.Queue``, deliberately: queue
   puts go through a feeder thread that a hard worker death
   (``os._exit``, OOM kill) never flushes, which would lose the
@@ -104,9 +103,8 @@ def _worker_main(worker_id: int, task_q, conn,
     can tell a busy worker from a dead one; the thread lock only
     serializes the two *threads of this process* — no cross-worker lock
     exists for a terminated worker to abandon.  Executor raises are
-    rendered to strings before crossing the boundary (the
-    ``_WorkerFailure`` lesson: exceptions with exotic ``__init__``
-    signatures must never travel raw).
+    rendered to strings before crossing the boundary (exceptions with
+    exotic ``__init__`` signatures must never travel raw).
     """
     from .runner import _execute_timed, _failure_message
 

@@ -1,10 +1,9 @@
 """Sweep-executor observability.
 
 The scenario executor (:mod:`repro.exec`) keeps process-wide counters —
-scenarios actually simulated, cache hits/misses/invalidations/stores,
-worker crashes, sweeps per backend, the result store's
-hit/miss/eviction/expiry/GC traffic and live byte gauge (``store_*``)
-and the work-stealing scheduler's spawn/restart/requeue/heartbeat
+scenarios actually simulated, worker crashes, sweeps per backend, the
+result store's hit/miss/eviction/expiry/GC traffic and live byte gauge
+(``store_*``) and the work-stealing scheduler's spawn/restart/requeue/heartbeat
 traffic (``sched_*``).  This module exposes them as plain snapshots and
 as :class:`~repro.sim.monitor.Monitor` probes, mirroring the
 placement-planner and flow-solver counters, so figure runs and CI lanes

@@ -27,7 +27,8 @@ class TestFig2Determinism:
         specs = fig2_sweep_specs(n_tasks=8, file_size=16 * MB,
                                  keep_series=True)
         serial = SweepRunner("serial").run(specs)
-        parallel = SweepRunner("process", jobs=2).run(specs)
+        parallel = SweepRunner("stealing", jobs=2,
+                               auto_fallback=False).run(specs)
         assert _canon(serial) == _canon(parallel)
 
     def test_sweep_matches_direct_runs(self):
@@ -49,12 +50,13 @@ class TestSlowdownDeterminism:
         specs = [slowdown_suite_spec(
             TINY_CFG, "hpcc", suite_scale=0.05, workload=workload,
             workload_kwargs=kwargs if workload else None, warmup=3.0)]
-        # Two independent scenario copies so the process pool has fan-out.
+        # Two independent scenario copies so the workers have fan-out.
         specs = specs + [slowdown_suite_spec(
             TINY_CFG, "hpcc", suite_scale=0.1, workload=workload,
             workload_kwargs=kwargs if workload else None, warmup=3.0)]
         serial = SweepRunner("serial").run(specs)
-        parallel = SweepRunner("process", jobs=2).run(specs)
+        parallel = SweepRunner("stealing", jobs=2,
+                               auto_fallback=False).run(specs)
         assert _canon(serial) == _canon(parallel)
         for res in serial:
             times = res.payload["runtimes_s"]
