@@ -42,12 +42,23 @@ and per-link numbers live in slot-indexed numpy arrays owned by the
 network; :class:`NetFlow` / :class:`Link` objects are handles whose
 properties read the arrays while attached and scalar fallbacks once
 detached (which also keeps the dict-based reference oracle working
-unmodified on standalone objects).  The settle step and the per-component
-fill are vectorized, with every order-sensitive float reduction
+unmodified on standalone objects).  The settle step and the fill of large
+components are vectorized, with every order-sensitive float reduction
 (class-byte accumulation, per-link used-rate sums) routed through
 ``np.add.at`` / ``np.bincount`` so it accumulates in *creation order* —
 the same float sequence the per-object loops produced, keeping
 trajectories bit-identical (see the summation invariant in DESIGN.md §11).
+
+A flush costs what the components it touches cost (DESIGN.md §11,
+"Scalar fast paths").  Almost every component is tiny — in a Table II
+pass, 34,386 of 51,171 component fills were a lone link left without
+flows and 7,922 a single flow — and numpy's fixed per-call cost dwarfs
+such a fill.  So a flowless link is zeroed directly, and a component of
+at most ``_SCALAR_MAX`` flows runs :meth:`FlowNetwork._fill_scalar`, an
+operation-for-operation Python twin of the vector fill.  The settle's
+class-byte accounting is one 1-D ``np.add.at`` through a per-slot flat
+cell index (``_f_cell``), and a persistent-flow count (``_pers_n``) lets
+settle and flush skip the persistence masks when none is attached.
 
 Process-wide :data:`flownet_stats` counters expose solves/rounds/flows
 touched for the perf suite (``benchmarks/bench_perf_suite.py``).
@@ -62,6 +73,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .fluid import _SCALAR_MAX
 from .kernel import Environment, Event, SimulationError
 
 __all__ = ["Link", "NetFlow", "FlowNetwork", "progressive_fill",
@@ -425,8 +437,10 @@ class FlowNetwork:
         self._l_cap = np.zeros(nl)
         self._l_used = np.zeros(nl)
         self._l_busy = np.zeros(nl)
-        #: class-byte accumulator [link slot, interned prefix]
-        self._class_acc = np.zeros((nl, _INIT_PREFIXES))
+        #: class-byte accumulator [link slot, interned prefix]; the spare
+        #: trailing row is the trash the -1 cells of _f_cell land in.
+        self._class_acc = np.zeros((nl + 1, _INIT_PREFIXES))
+        self._cb_flat = self._class_acc.reshape(-1)
         self._prefixes: list[str] = []
         self._prefix_idx: dict[str, int] = {}
         #: global-link-slot -> component-local index scratch; the extra
@@ -441,7 +455,9 @@ class FlowNetwork:
         self._f_pers = np.zeros(nf, dtype=bool)
         self._f_prefix = np.full(nf, -1, dtype=np.int32)
         self._f_links = np.full((nf, self._W), _PAD, dtype=np.int32)
-        self._f_deg = np.zeros(nf, dtype=np.int32)
+        #: flat _class_acc cell per (flow slot, path position):
+        #: link*P + prefix, or -1 (trash) for padding and unlabelled flows
+        self._f_cell = np.full((nf, self._W), -1, dtype=np.intp)
         self._alive = np.zeros(nf, dtype=bool)
         self._objs: list[NetFlow | None] = [None] * nf
         self._seqs: list[int] = [0] * nf
@@ -450,6 +466,8 @@ class FlowNetwork:
         self._act = np.zeros(nf, dtype=np.int32)
         self._act_n = 0
         self._act_dead = 0
+        #: attached persistent flows; when zero the _f_pers gathers are skipped
+        self._pers_n = 0
         #: adjacency: link slot -> set of active flow slots crossing it
         self._flows_of: list[set[int]] = []
         #: link slots whose component must be re-solved at the next flush
@@ -484,9 +502,10 @@ class FlowNetwork:
                 arr = np.zeros(new)
                 arr[:s] = getattr(self, attr)
                 setattr(self, attr, arr)
-            acc = np.zeros((new, self._class_acc.shape[1]))
-            acc[:s] = self._class_acc
+            acc = np.zeros((new + 1, self._class_acc.shape[1]))
+            acc[:s] = self._class_acc[:s]
             self._class_acc = acc
+            self._cb_flat = acc.reshape(-1)
             self._loc = np.zeros(new + 1, dtype=np.int32)
         self._l_cap[s] = float(capacity)
         self._l_used[s] = 0.0
@@ -684,18 +703,17 @@ class FlowNetwork:
         rows = np.full((new, self._W), _PAD, dtype=np.int32)
         rows[:old] = self._f_links
         self._f_links = rows
-        deg = np.zeros(new, dtype=np.int32)
-        deg[:old] = self._f_deg
-        self._f_deg = deg
         self._objs.extend([None] * (new - old))
         self._seqs.extend([0] * (new - old))
         self._free.extend(range(new - 1, old - 1, -1))
+        self._rebuild_cells()
 
     def _widen_rows(self, width: int) -> None:
         rows = np.full((len(self._objs), width), _PAD, dtype=np.int32)
         rows[:, : self._W] = self._f_links
         self._f_links = rows
         self._W = width
+        self._rebuild_cells()
 
     def _intern_prefix(self, prefix: str) -> int:
         idx = self._prefix_idx.get(prefix)
@@ -705,9 +723,19 @@ class FlowNetwork:
                 acc = np.zeros((self._class_acc.shape[0], idx * 2))
                 acc[:, :idx] = self._class_acc
                 self._class_acc = acc
+                self._cb_flat = acc.reshape(-1)
+                self._rebuild_cells()
             self._prefix_idx[prefix] = idx
             self._prefixes.append(prefix)
         return idx
+
+    def _rebuild_cells(self) -> None:
+        """Recompute every slot's flat class-byte cells (layout changed)."""
+        pf = self._f_prefix[:, None]
+        lk = self._f_links
+        self._f_cell = np.where((lk >= 0) & (pf >= 0),
+                                lk.astype(np.intp) * self._class_acc.shape[1]
+                                + pf, -1)
 
     def _attach(self, flow: NetFlow) -> None:
         if not self._free:
@@ -723,11 +751,21 @@ class FlowNetwork:
         self._f_rem[s] = flow._rem_s
         self._f_rate[s] = 0.0
         self._f_pers[s] = flow.work is None
-        self._f_prefix[s] = (-1 if flow.class_prefix is None
-                             else self._intern_prefix(flow.class_prefix))
+        if flow.work is None:
+            self._pers_n += 1
         self._f_links[s, :deg] = flow._lslots
         self._f_links[s, deg:] = _PAD
-        self._f_deg[s] = deg
+        if flow.class_prefix is None:
+            self._f_prefix[s] = -1
+            self._f_cell[s] = -1
+        else:
+            # Interning may widen the prefix table and rebuild _f_cell, so
+            # the row is written only afterwards.
+            p = self._f_prefix[s] = self._intern_prefix(flow.class_prefix)
+            width = self._class_acc.shape[1]
+            cell = self._f_cell[s]
+            cell[:deg] = [ls * width + p for ls in flow._lslots]
+            cell[deg:] = -1
         self._alive[s] = True
         self._objs[s] = flow
         self._seqs[s] = flow._seq
@@ -753,6 +791,8 @@ class FlowNetwork:
         flow._rem_s = float(self._f_rem[s])
         flow._rate_s = 0.0
         flow._slot = -1
+        if flow.work is None:
+            self._pers_n -= 1
         self._alive[s] = False
         self._f_rate[s] = 0.0
         self._objs[s] = None
@@ -792,25 +832,19 @@ class FlowNetwork:
         # Work drain: identical elementwise float sequence as the old
         # per-flow loop (remaining -= rate*dt, clamp at zero); persistent
         # flows subtract exactly 0.0 so their inf remaining is untouched.
-        drain = np.where(self._f_pers, 0.0, self._f_rate * dt)
+        moved = self._f_rate * dt
+        drain = np.where(self._f_pers, 0.0, moved) if self._pers_n else moved
         np.subtract(self._f_rem, drain, out=self._f_rem)
         np.maximum(self._f_rem, 0.0, out=self._f_rem)
         # Class-byte accounting must accumulate in creation order (float
         # addition order is observable); the raw _act buffer is creation
         # ordered and its tombstones contribute exactly 0.0.  np.add.at
-        # applies repeated indices sequentially in input order.
+        # applies repeated indices sequentially in input order, and the
+        # -1 cells (padding, unlabelled flows) all land in the trash row.
         aw = self._act[: self._act_n]
         if len(aw):
-            pf = self._f_prefix[aw]
-            sel = pf >= 0
-            if sel.any():
-                fs = aw[sel]
-                moved = np.repeat(self._f_rate[fs] * dt, self._W)
-                lf = self._f_links[fs].ravel()
-                ok = lf >= 0
-                np.add.at(self._class_acc,
-                          (lf[ok], np.repeat(pf[sel], self._W)[ok]),
-                          moved[ok])
+            np.add.at(self._cb_flat, self._f_cell[aw].ravel(),
+                      np.repeat(moved[aw], self._W))
         nl = self._nl
         self._l_busy[:nl] += self._l_used[:nl] * dt
         self._last_update = now
@@ -819,7 +853,7 @@ class FlowNetwork:
                   stats: FlowNetStats) -> None:
         """Vectorized progressive filling over one closed flow–link set.
 
-        *fs* must be in creation (seq) order; *ls* order is free (only
+        *fs* must be non-empty and in creation (seq) order; *ls* order is free (only
         min-reductions and elementwise updates touch links, and the
         per-link used-rate writeback accumulates in flow order via
         bincount).  Computes the identical float sequence as the classic
@@ -829,9 +863,6 @@ class FlowNetwork:
         nl = len(ls)
         stats.flows_touched += nf
         stats.links_touched += nl
-        if nf == 0:
-            self._l_used[ls] = 0.0
-            return
         loc = self._loc
         loc[ls] = np.arange(nl, dtype=np.int32)
         loc[len(loc) - 1] = nl  # _PAD rows resolve to the sentinel column
@@ -873,6 +904,77 @@ class FlowNetwork:
             rows.ravel(), weights=np.repeat(rates, rows.shape[1]),
             minlength=nl + 1)[:nl]
 
+    def _fill_scalar(self, fs: list[int], ls: list[int],
+                     stats: FlowNetStats) -> None:
+        """:meth:`_fill_vec` on Python scalars, for small components.
+
+        Most components a flush touches hold one to a few flows, where
+        numpy's fixed per-call cost dominates the fill.  Every step
+        mirrors the vector path operation for operation: the link-share
+        minimum propagates NaN like ``ndarray.min``, the headroom minimum
+        skips it like ``np.fmin``, a link listed twice in a path counts
+        twice, and each link's used rate is summed from 0.0 in creation
+        order — so rates, used rates and counters are bit-identical.
+        """
+        nf = len(fs)
+        stats.flows_touched += nf
+        stats.links_touched += len(ls)
+        objs = self._objs
+        f_cap = self._f_cap.item
+        l_cap = self._l_cap.item
+        paths = [objs[s]._lslots for s in fs]
+        caps = [f_cap(s) for s in fs]
+        avail: dict[int, float] = {}
+        sat_eps: dict[int, float] = {}
+        for l in ls:
+            c = avail[l] = l_cap(l)
+            # np.maximum(c, 1.0), NaN included
+            sat_eps[l] = _EPS * (1.0 if c < 1.0 else c)
+        rates = [0.0] * nf
+        unf = list(range(nf))
+        guard = nf + len(ls) + 2
+        while unf and guard > 0:
+            guard -= 1
+            stats.rounds += 1
+            counts: dict[int, int] = {}
+            for i in unf:
+                for l in paths[i]:
+                    counts[l] = counts.get(l, 0) + 1
+            delta = math.inf
+            for l, n in counts.items():
+                d = avail[l] / n
+                if d < delta or d != d:
+                    delta = d
+            for i in unf:
+                d = caps[i] - rates[i]
+                if d < delta or delta != delta:
+                    delta = d
+            if delta < 0:
+                delta = 0.0
+            for i in unf:
+                rates[i] += delta
+            saturated = set()
+            for l, n in counts.items():
+                left = avail[l] = avail[l] - delta * n
+                if left <= sat_eps[l]:
+                    saturated.add(l)
+            keep = [i for i in unf
+                    if not rates[i] >= caps[i] - _EPS
+                    and saturated.isdisjoint(paths[i])]
+            if len(keep) == len(unf):
+                stats.record_stalemate()
+                break  # numerical stalemate; rates are already near-fair
+            unf = keep
+        f_rate = self._f_rate
+        used = dict.fromkeys(ls, 0.0)
+        for s, r, path in zip(fs, rates, paths):
+            f_rate[s] = r
+            for l in path:
+                used[l] += r
+        l_used = self._l_used
+        for l, u in used.items():
+            l_used[l] = u
+
     def _solve(self, a: np.ndarray) -> None:
         """Re-fill the dirty components (or everything, in reference mode).
 
@@ -898,18 +1000,22 @@ class FlowNetwork:
         todo = list(self._dirty)
         self._dirty.clear()
         flows_of = self._flows_of
-        f_links = self._f_links
-        f_deg = self._f_deg
+        objs = self._objs
         seqs = self._seqs
         seen: set[int] = set()
         for seed in todo:
             if seed in seen:
                 continue
+            seen.add(seed)
+            if not flows_of[seed]:
+                # A link left with no flows is a component of its own.
+                stats.links_touched += 1
+                self._l_used[seed] = 0.0
+                continue
             # Walk this connected component of the flow–link graph.
             comp_links = [seed]
             comp_flows: list[int] = []
             seen_flows: set[int] = set()
-            seen.add(seed)
             stack = [seed]
             while stack:
                 li = stack.pop()
@@ -917,9 +1023,7 @@ class FlowNetwork:
                     if fslot not in seen_flows:
                         seen_flows.add(fslot)
                         comp_flows.append(fslot)
-                        row = f_links[fslot]
-                        for k in range(f_deg[fslot]):
-                            lj = int(row[k])
+                        for lj in objs[fslot]._lslots:
                             if lj not in seen:
                                 seen.add(lj)
                                 comp_links.append(lj)
@@ -928,8 +1032,11 @@ class FlowNetwork:
             # iteration, and the float sum behind each link's used_rate
             # must be run-to-run and mode-to-mode deterministic.
             comp_flows.sort(key=seqs.__getitem__)
-            self._fill_vec(np.asarray(comp_flows, dtype=np.int32),
-                           np.asarray(comp_links, dtype=np.int32), stats)
+            if len(comp_flows) <= _SCALAR_MAX:
+                self._fill_scalar(comp_flows, comp_links, stats)
+            else:
+                self._fill_vec(np.asarray(comp_flows, dtype=np.int32),
+                               np.asarray(comp_links, dtype=np.int32), stats)
 
     def _flush(self) -> None:
         """Coalesced settle + solve + completion drain + wakeup."""
@@ -949,7 +1056,9 @@ class FlowNetwork:
         while True:
             a = self._active()
             if len(a):
-                fin = ~self._f_pers[a] & (self._f_rem[a] <= _EPS)
+                fin = self._f_rem[a] <= _EPS
+                if self._pers_n:
+                    fin &= ~self._f_pers[a]
                 if fin.any():
                     for s in a[fin]:  # creation order, like the old scan
                         flow = self._objs[s]
@@ -966,7 +1075,9 @@ class FlowNetwork:
             horizon = math.inf
             if len(a):
                 rate_a = self._f_rate[a]
-                m = (rate_a > 0) & ~self._f_pers[a]
+                m = rate_a > 0
+                if self._pers_n:
+                    m &= ~self._f_pers[a]
                 if m.any():
                     h = self._f_rem[a[m]] / rate_a[m]
                     horizon = float(h.min())

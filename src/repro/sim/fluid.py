@@ -524,16 +524,29 @@ class FluidResource:
         elementwise update computes the identical float sequence as the
         old per-flow loop (``remaining -= rate*dt`` then clamp at zero).
         Persistent flows must subtract exactly 0.0 — not ``rate*dt`` —
-        because their remaining stays inf and ``inf - inf`` is NaN.
+        because their remaining stays inf and ``inf - inf`` is NaN; the
+        scalar path below simply skips them.  Populations up to
+        ``_SCALAR_MAX`` drain on Python scalars over ``_act_list``, the
+        same float sequence without the whole-array temporaries.
         """
         now = self.env.now
         dt = now - self._last_update
         if dt <= 0:
             return
         rem = self._f_rem
-        drain = np.where(self._f_pers, 0.0, self._f_rate * dt)
-        np.subtract(rem, drain, out=rem)
-        np.maximum(rem, 0.0, out=rem)
+        if self._act_n - self._act_dead <= _SCALAR_MAX:
+            rate = self._f_rate.item
+            get = rem.item
+            pers = self._f_pers if self._pers_n else None
+            for s in self._act_list:
+                if pers is None or not pers[s]:
+                    r = get(s) - rate(s) * dt
+                    # np.maximum(r, 0.0): NaN and -0.0 pass through.
+                    rem[s] = 0.0 if r < 0.0 else r
+        else:
+            drain = np.where(self._f_pers, 0.0, self._f_rate * dt)
+            np.subtract(rem, drain, out=rem)
+            np.maximum(rem, 0.0, out=rem)
         self._busy_integral += self._used_now * dt
         self._last_update = now
 

@@ -93,6 +93,12 @@ class Workflow:
                         f"{f.path!r} produced by both "
                         f"{self._producer[f.path]!r} and {t.id!r}")
                 self._producer[f.path] = t.id
+        # path -> ids of the tasks reading it, in task insertion order (a
+        # task that lists a path twice still appears once).
+        self._consumers: dict[str, list[str]] = {}
+        for t in self.tasks.values():
+            for path in dict.fromkeys(f.path for f in t.inputs):
+                self._consumers.setdefault(path, []).append(t.id)
         self._deps: dict[str, frozenset[str]] = {}
         for t in self.tasks.values():
             deps = set(t.extra_deps)
@@ -114,8 +120,7 @@ class Workflow:
         return self._producer.get(path)
 
     def consumers_of(self, path: str) -> list[str]:
-        return [t.id for t in self.tasks.values()
-                if any(f.path == path for f in t.inputs)]
+        return list(self._consumers.get(path, ()))
 
     def external_inputs(self) -> list[str]:
         """Paths read by some task but produced by none (staged-in data)."""

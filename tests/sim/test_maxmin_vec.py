@@ -14,7 +14,8 @@ any population size.  These tests pin that contract:
 - ``_seq_sum`` against the naive left-to-right accumulation loop;
 - a :class:`FluidResource` population driven across the crossover so the
   integrated ``_rebalance`` path exercises the vector allocator against
-  the scalar oracle on live flows.
+  the scalar oracle on live flows, and its scalar and vector ``_settle``
+  drains match a whole-array reference drain.
 """
 
 import math
@@ -132,7 +133,9 @@ def _live_rates(n_flows):
     return [f.rate for f in flows], want
 
 
-@pytest.mark.parametrize("n_flows", [_SCALAR_MAX - 4, _SCALAR_MAX + 8])
+@pytest.mark.parametrize("n_flows", [_SCALAR_MAX - 4, _SCALAR_MAX - 1,
+                                     _SCALAR_MAX, _SCALAR_MAX + 1,
+                                     _SCALAR_MAX + 8])
 def test_fluid_resource_across_crossover(n_flows):
     """_rebalance below/above _SCALAR_MAX produces oracle-exact rates."""
     got, want = _live_rates(n_flows)
@@ -154,3 +157,45 @@ def test_fluid_resource_paths_agree_over_time():
             break
         want = maxmin_allocate(64.0, [f.cap for f in live])
         assert [f.rate for f in live] == want
+
+
+def test_fluid_settle_across_crossover_matches_vector_drain():
+    """Grow then shrink a population (persistent flows mixed in) across
+    _SCALAR_MAX: every settle leaves ``remaining`` bit-equal to the
+    whole-array drain, and busy_time() to its reference integral."""
+    env = Environment()
+    res = FluidResource(env, capacity=64.0)
+    real_settle = res._settle
+    sizes = []
+    ref_busy = [0.0]
+
+    def settle_with_reference():
+        dt = env.now - res._last_update
+        if dt > 0:
+            sizes.append(res._act_n - res._act_dead)
+            drain = np.where(res._f_pers, 0.0, res._f_rate * dt)
+            want = np.maximum(res._f_rem - drain, 0.0)
+            ref_busy[0] += res._used_now * dt
+            real_settle()
+            assert np.array_equal(res._f_rem, want)
+        else:
+            real_settle()
+
+    res._settle = settle_with_reference
+    flows = []
+    for i in range(_SCALAR_MAX + 10):
+        work = None if i % 5 == 0 else 3.0 + 7.0 * i
+        cap = math.inf if i % 3 else 0.25 + i % 4
+        flows.append(res.submit(work, cap=cap, label=f"f{i}"))
+        env.run(until=env.now + 0.01 * (i + 1))
+    for f in flows[::7]:
+        res.remove(f)
+        env.run(until=env.now + 0.5)
+    env.run(until=env.now + 1e4)
+    for f in [f for f in flows if f.persistent and f._slot >= 0]:
+        res.remove(f)
+        env.run(until=env.now + 0.5)
+    assert min(sizes) <= _SCALAR_MAX < max(sizes)
+    assert all(f.remaining == 0.0 for f in flows
+               if not f.persistent and f.finished_at is not None)
+    assert res.busy_time() == ref_busy[0] / res.capacity

@@ -10,18 +10,22 @@ the simulated physics:
 - trajectory agreement of the incremental solver against ``"reference"`` on
   event-driven scenarios, including fault-injector partitions;
 - a golden Fig. 2 run (committed fixture produced by the pre-PR solver)
-  whose runtime and victim-NIC figures must stay bit-identical.
+  whose runtime and victim-NIC figures must stay bit-identical;
+- the small-component scalar fill and the flat class-byte scatter against
+  the vector fill and a 2-D ``np.add.at`` accumulation, compared with
+  ``==``.
 """
 
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Environment, FlowNetwork, SimulationError, flownet_stats
-from repro.sim.flownet import Link, NetFlow, progressive_fill
+from repro.sim.flownet import _SCALAR_MAX, Link, NetFlow, progressive_fill
 
 CAP = 100.0
 
@@ -322,3 +326,160 @@ class TestStalemate:
         net.settle()
         assert_matches_oracle(net)
         assert flownet_stats.stalemates == 0
+
+
+# -- scalar small-component fill vs. the vector fill, bit for bit -----------
+
+def _fill_both(net):
+    """Run _fill_vec and _fill_scalar over every flow and link of *net*.
+
+    All flows plus all links form a closed set, which is all either fill
+    needs.  Returns ``(flow rates, link used rates, counter deltas)`` for
+    each path, vector first.
+    """
+    fs = [int(s) for s in net._active()]
+    fs.sort(key=net._seqs.__getitem__)
+    ls = list(range(net._nl))
+    out = []
+    for fill in (lambda: net._fill_vec(np.asarray(fs, dtype=np.int32),
+                                       np.asarray(ls, dtype=np.int32),
+                                       flownet_stats),
+                 lambda: net._fill_scalar(fs, ls, flownet_stats)):
+        net._f_rate[fs] = -1.0
+        net._l_used[ls] = -1.0
+        before = flownet_stats.snapshot()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fill()
+        after = flownet_stats.snapshot()
+        out.append(([float(net._f_rate[s]) for s in fs],
+                    [float(net._l_used[l]) for l in ls],
+                    {k: after[k] - before[k] for k in after}))
+    return out
+
+
+def _same_bits(a, b):
+    return all(x == y or (math.isnan(x) and math.isnan(y))
+               for x, y in zip(a, b, strict=True))
+
+
+# Paths: loopback (degree 1), verbs (2), tcp (4), and a tcp path that
+# crosses one link twice.
+_path = st.one_of(
+    st.lists(st.integers(0, 7), min_size=1, max_size=1),
+    st.lists(st.integers(0, 7), min_size=2, max_size=2),
+    st.lists(st.integers(0, 7), min_size=4, max_size=4),
+    st.tuples(st.integers(0, 7), st.integers(0, 7),
+              st.integers(0, 7)).map(lambda t: [t[0], t[1], t[0], t[2]]),
+)
+_flow = st.tuples(_path,
+                  st.one_of(st.just(math.inf), st.floats(0.01, 150.0)),
+                  st.booleans())
+
+
+@settings(max_examples=80, deadline=None)
+@given(caps=st.lists(st.sampled_from([0.5, 1.0, 3.0, 7.25, 100.0, 1e-3,
+                                      1e10]),
+                     min_size=8, max_size=8),
+       n=st.one_of(st.integers(1, 8),
+                   st.sampled_from([_SCALAR_MAX - 1, _SCALAR_MAX,
+                                    _SCALAR_MAX + 1])),
+       flows=st.lists(_flow, min_size=_SCALAR_MAX + 1,
+                      max_size=_SCALAR_MAX + 1))
+def test_scalar_fill_matches_vector_fill_bitwise(caps, n, flows):
+    """Capped/uncapped/persistent flows on degree-1/2/4 rows (and a
+    repeated link) fill to the same bits and the same counters."""
+    env = Environment()
+    net = FlowNetwork(env)
+    links = [net.add_link_lean(f"l{i}", c) for i, c in enumerate(caps)]
+    with net.batch():
+        for i, (path, cap, pers) in enumerate(flows[:n]):
+            net.transfer([links[k] for k in path], None if pers else 1e6,
+                         cap=cap, label=f"c{i % 3}:{i}")
+    vec, scal = _fill_both(net)
+    assert _same_bits(vec[0], scal[0])
+    assert _same_bits(vec[1], scal[1])
+    assert vec[2] == scal[2]
+
+
+@pytest.mark.parametrize("flows", [
+    # inf avail on an uncapped flow: avail becomes inf - inf = NaN, so the
+    # next round's link minimum is NaN (propagated, as ndarray.min does)
+    # and the NaN-capped flow stalemates.
+    [("a", math.nan), ("a", math.inf)],
+    # a doubled link on an infinite pipe beside a finite one
+    [("a", math.inf), ("aa", 2.0), ("b", math.inf)],
+    [("a", math.nan), ("aa", 2.0), ("b", math.inf)],
+])
+def test_scalar_fill_nan_and_stalemate_match(flows):
+    """Infinite links and NaN caps: both fills agree bit for bit,
+    stalemate counts included."""
+    env = Environment()
+    net = FlowNetwork(env)
+    slots = {"a": net.add_link_lean("a", math.inf),
+             "b": net.add_link_lean("b", 5.0)}
+    with warnings.catch_warnings(), net.batch():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for i, (path, cap) in enumerate(flows):
+            net.transfer([slots[c] for c in path], None, cap=cap,
+                         label=f"x:{i}")
+    vec, scal = _fill_both(net)
+    assert _same_bits(vec[0], scal[0])
+    assert _same_bits(vec[1], scal[1])
+    assert vec[2] == scal[2]
+
+
+def test_flat_class_byte_cells_match_2d_accumulation():
+    """Prefix-table widening, link-slot growth and row widening all
+    rebuild or extend the flat cell index; every Link.class_bytes stays
+    bit-equal to the 2-D ``np.add.at`` accumulation over flows in
+    creation order."""
+    env = Environment()
+    net = FlowNetwork(env)
+    ref = np.zeros((64, 16))
+    real_settle = net._settle
+
+    def settle_with_reference():
+        dt = net.env.now - net._last_update
+        if dt > 0:
+            aw = net._act[: net._act_n]
+            pf = net._f_prefix[aw]
+            sel = pf >= 0
+            fs = aw[sel]
+            w = net._W
+            moved = np.repeat(net._f_rate[fs] * dt, w)
+            lf = net._f_links[fs].ravel()
+            ok = lf >= 0
+            np.add.at(ref, (lf[ok], np.repeat(pf[sel], w)[ok]), moved[ok])
+        real_settle()
+
+    net._settle = settle_with_reference
+    links = [net.add_link(f"l{i}", 10.0 + i) for i in range(6)]
+    net.transfer([links[0], links[1]], 500.0, label="a:0")
+    net.transfer([links[1], links[2]], None, cap=3.0, label="b:0")
+    net.transfer([links[2]], 300.0, label="unlabelled")
+    env.run(until=1.0)
+    # More prefixes than _INIT_PREFIXES after flows exist.
+    for i in range(6):
+        net.transfer([links[i % 6], links[(i + 2) % 6]], 200.0 + i,
+                     label=f"p{i}:x")
+        env.run(until=env.now + 0.5)
+    # Links past _INIT_LINK_SLOTS, then a degree-6 path widens the rows.
+    links += [net.add_link(f"m{i}", 7.0) for i in range(14)]
+    net.transfer([links[3], links[17], links[19]], 400.0, label="a:1")
+    env.run(until=env.now + 0.5)
+    # An already-interned prefix, so the row widening alone must keep
+    # the live flows' cells right (no prefix-table rebuild hides it).
+    net.transfer([links[j] for j in (0, 5, 16, 18, 19, 5)], 600.0,
+                 label="a:wide")
+    env.run(until=env.now + 2.0)
+    net.transfer([links[18], links[4]], 100.0, label="p7:late")
+    env.run(until=env.now + 50.0)
+    net.settle()
+    assert net._W == 6 and len(net._prefixes) > 4 and net._nl > 16
+    for link in net.links:
+        want = {p: float(ref[link._slot, i])
+                for i, p in enumerate(net._prefixes)
+                if ref[link._slot, i] != 0.0}
+        assert link.class_bytes == want, link.name
+    assert any(link.class_bytes for link in net.links[16:])

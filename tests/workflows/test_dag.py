@@ -74,6 +74,27 @@ class TestWorkflow:
         assert wf.producer_of("/x") == "a"
         assert sorted(wf.consumers_of("/x")) == ["b", "c"]
         assert wf.producer_of("/missing") is None
+        twice = Workflow("twice", [
+            Task(id="a", stage="s", inputs=(FileSpec("/x", 1),) * 2)])
+        assert twice.consumers_of("/x") == ["a"]
+
+    def test_consumer_index_matches_full_scan(self):
+        """The index built in __init__ answers exactly what scanning every
+        task's inputs answers, in task order, for every generator."""
+        from repro.workflows import generators
+        small = {"dd_bag": dict(n_tasks=16), "montage": dict(width=32),
+                 "blast": dict(n_searches=8)}
+        gens = {name for name in generators.__all__
+                if callable(getattr(generators, name))}
+        assert gens == small.keys()
+        for name, kwargs in small.items():
+            wf = getattr(generators, name)(**kwargs)
+            paths = {f.path for t in wf.tasks.values()
+                     for f in t.inputs + t.outputs} | {"/missing"}
+            for path in paths:
+                scan = [t.id for t in wf.tasks.values()
+                        if any(f.path == path for f in t.inputs)]
+                assert wf.consumers_of(path) == scan, (name, path)
 
     def test_critical_path(self):
         wf = diamond()
