@@ -34,7 +34,10 @@ the suite asserts that, reports the solver counters from
   hpcc_under_montage (full scale),
 * counter budgets and the wall/RSS ceilings from ``perf_budget.json``
   (counter gates are exact, wall gates generous so the CI lane is
-  stable on shared runners).
+  stable on shared runners).  Beside the flow-network counters,
+  fig2_baseline's incremental cell counts ``FluidResource._rebalance``
+  calls (``fluid_rebalances``) through a bench-local spy on its first
+  rep: the gate on same-instant fluid batching.
 
 Results land in ``results/perf-suite.json`` (or ``-smoke``) and
 ``BENCH_perf.json`` at the repo root, the perf trajectory later PRs
@@ -49,6 +52,7 @@ import math
 import multiprocessing as mp
 import os
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 try:
@@ -62,7 +66,7 @@ from repro.core.experiment import baseline_run
 from repro.core.slowdown import BackgroundWorkload, _run_suite
 from repro.faults import FaultInjector, fault_stats, revocation_storm
 from repro.metrics import render_table
-from repro.sim import flownet_stats
+from repro.sim import FluidResource, flownet_stats
 from repro.tenants import hpcc_suite
 from repro.units import GB, MB
 from repro.workflows import montage
@@ -246,6 +250,31 @@ SCENARIOS = {
 PAIRED = frozenset({"fault_storm"})
 
 
+#: Scenarios whose incremental cell also counts fluid rebalances.
+COUNT_REBALANCES = frozenset({"fig2_baseline"})
+
+
+@contextmanager
+def _rebalance_spy():
+    """Count ``FluidResource._rebalance`` calls inside the block.
+
+    Bench-local on purpose: the simulator keeps no process-global
+    counter for them.  The yielded one-element list holds the count.
+    """
+    real = FluidResource._rebalance
+    calls = [0]
+
+    def spy(self):
+        calls[0] += 1
+        real(self)
+
+    FluidResource._rebalance = spy
+    try:
+        yield calls
+    finally:
+        FluidResource._rebalance = real
+
+
 def _timed_rep(fn, solver: str) -> tuple[float, dict]:
     flownet_stats.reset()
     gc.collect()
@@ -281,8 +310,14 @@ def _solver_payload(name: str, solver: str) -> dict:
     """
     fn, _, _ = SCENARIOS[name]
     rss0 = _rss_peak_kb()
-    wall, signature = _timed_rep(fn, solver)
-    payload = _base_payload(wall, signature)
+    if name in COUNT_REBALANCES and solver == "incremental":
+        with _rebalance_spy() as calls:
+            wall, signature = _timed_rep(fn, solver)
+        payload = _base_payload(wall, signature)
+        payload["counters"]["fluid_rebalances"] = calls[0]
+    else:
+        wall, signature = _timed_rep(fn, solver)
+        payload = _base_payload(wall, signature)
     if SMOKE:
         extra = 0
     elif wall < 5.0:

@@ -6,8 +6,11 @@ fixed amount of *work* (bytes, or CPU-seconds) and an optional per-flow rate
 cap (a task that asked for 4 cores can never use more than 4 core-seconds
 per second).  The resource divides its capacity among active flows by
 **max-min fairness**: rates rise equally until a flow hits its cap, then the
-leftover is redistributed.  Completions are event-driven: whenever the flow
-set changes, rates are recomputed and the next completion is rescheduled.
+leftover is redistributed.  Completions are event-driven: a change to the
+flow set recomputes the rates and reschedules the next completion.  A burst
+of submits at one instant (a stripe fan-out) is solved twice, not once per
+flow: the first submit solves eagerly, later ones defer to a zero-delay
+guard, and every read flushes first (batched rebalancing, DESIGN.md §8).
 
 This single abstraction reproduces the contention effects the paper relies
 on: an extra store flow on a victim NIC takes a fair share away from the
@@ -54,6 +57,15 @@ _INIT_SLOTS = 16
 #: beat the scalar loops only once populations reach the mid tens
 #: (fig. 2 profiles put >85% of rebalances at or under this size).
 _SCALAR_MAX = 32
+
+
+def _min_dt(now: float) -> float:
+    """The smallest delay the float clock can represent at *now*.
+
+    A flow finishing sooner than this must complete immediately, or its
+    wakeup would land at ``now + dt == now`` and spin forever.
+    """
+    return max(math.nextafter(now, math.inf) - now, 1e-12)
 
 
 def maxmin_allocate(capacity: float, caps: list[float]) -> list[float]:
@@ -247,9 +259,12 @@ class Flow:
 
     @property
     def remaining(self) -> float:
+        res = self.resource
+        if res._pending:
+            res._rebalance()
         s = self._slot
         if s >= 0:
-            return float(self.resource._f_rem[s])
+            return float(res._f_rem[s])
         return self._rem_s
 
     @remaining.setter
@@ -262,9 +277,12 @@ class Flow:
 
     @property
     def rate(self) -> float:
+        res = self.resource
+        if res._pending:
+            res._rebalance()
         s = self._slot
         if s >= 0:
-            return float(self.resource._f_rate[s])
+            return float(res._f_rate[s])
         return self._rate_s
 
     @rate.setter
@@ -312,6 +330,12 @@ class FluidResource:
     tombstones, compacted lazily), and a quarantined free list so a slot
     freed this instant cannot be reused while a stale ``_act`` entry still
     points at it.
+
+    Rebalances are batched per instant (DESIGN.md §8): a submit to a
+    resource already solved at ``now`` only reserves the calendar tie its
+    wakeup would have taken and leaves the solve to a zero-delay guard;
+    reads, the guard and every other mutation flush through
+    :meth:`_rebalance`.
     """
 
     def __init__(self, env: Environment, capacity: float, name: str = ""):
@@ -353,37 +377,71 @@ class FluidResource:
         # Total allocated rate, kept current by _rebalance as the same
         # sequential creation-order sum the settle loop used to compute.
         self._used_now = 0.0
+        # Same-instant batching: the time of the last solve, whether a
+        # deferred submit awaits the guard's solve, and the calendar tie
+        # the last deferred submit reserved for the wakeup.
+        self._solved_at = -math.inf
+        self._pending = False
+        self._tie: int | None = None
 
     # -- public API ----------------------------------------------------------
     @property
     def flows(self) -> tuple[Flow, ...]:
+        if self._pending:
+            self._rebalance()
         return tuple(self._objs[s] for s in self._active())
 
     @property
     def used_rate(self) -> float:
         """Instantaneous total allocated rate."""
+        if self._pending:
+            self._rebalance()
         return self._used_now
 
     @property
     def utilization(self) -> float:
         """Instantaneous utilization in [0, 1]."""
+        if self._pending:
+            self._rebalance()
         return self._used_now / self.capacity
 
     def busy_time(self) -> float:
         """Capacity-normalized busy integral: ∫ used/capacity dt."""
+        if self._pending:
+            self._rebalance()
         self._settle()
         return self._busy_integral / self.capacity
 
     def submit(self, work: float | None, cap: float = math.inf,
                label: str = "") -> Flow:
-        """Add a flow; returns it (wait on ``flow.done`` for completion)."""
+        """Add a flow; returns it (wait on ``flow.done`` for completion).
+
+        The first submit at an instant solves at once, completing any
+        drained flow in its calendar place.  A later one at the same
+        instant defers to one zero-delay guard: adding a flow never
+        raises another's rate and no time passes, so the guard's solve
+        equals the one it replaces.  A new flow that might finish inside
+        the clock's resolution still solves at once, to complete here.
+        """
         self._settle()
+        env = self.env
         flow = Flow(self, work, cap, label)
         if flow._rem_s <= _EPS and not flow.persistent:
-            flow.finished_at = self.env.now
+            flow.finished_at = env.now
             flow.done.succeed(flow)
             return flow
         self._attach(flow)
+        now = env.now
+        if self._solved_at == now:
+            top = flow._cap_s if flow._cap_s < self.capacity else self.capacity
+            if flow._rem_s / top >= _min_dt(now):
+                # The wakeup keeps the tie an eager solve would take here.
+                self._tie = next(env._counter)
+                if not self._pending:
+                    self._pending = True
+                    env.call_batched(self._guard)
+                return flow
+        self._tie = None
         self._rebalance()
         return flow
 
@@ -401,6 +459,8 @@ class FluidResource:
         flow._rem_s = remaining
         if not flow.persistent and not flow.done.triggered:
             flow.done.fail(SimulationError(f"flow {flow.label!r} cancelled"))
+        # Mutations that may raise rates solve at once, with a fresh tie.
+        self._tie = None
         self._rebalance()
         return remaining
 
@@ -410,14 +470,19 @@ class FluidResource:
             raise SimulationError(f"capacity must be positive, got {capacity}")
         self._settle()
         self.capacity = float(capacity)
+        self._tie = None
         self._rebalance()
 
     def adjust_cap(self, flow: Flow, cap: float) -> None:
         """Change a flow's rate cap at the current time."""
         if cap <= 0:
             raise SimulationError(f"flow cap must be positive, got {cap}")
+        if flow.resource is not self:
+            raise SimulationError(
+                f"flow {flow.label!r} belongs to another resource")
         self._settle()
         flow.cap = float(cap)
+        self._tie = None
         self._rebalance()
 
     # -- generator helper ----------------------------------------------------
@@ -551,11 +616,15 @@ class FluidResource:
         self._last_update = now
 
     def _rebalance(self) -> None:
-        """Recompute max-min rates, complete drained flows, schedule wakeup."""
+        """Recompute max-min rates, complete drained flows, schedule wakeup.
+
+        Also the flush of deferred submits: it clears ``_pending``, and
+        ``_arm_wakeup`` files the wakeup under their reserved tie.
+        """
         now = self.env.now
-        # The smallest delay the float clock can actually represent at `now`;
-        # a flow finishing sooner than this must complete immediately or the
-        # wakeup would be scheduled at `now + dt == now` and spin forever.
+        self._pending = False
+        self._solved_at = now
+        # _min_dt(now), inlined on this once-per-event path.
         min_dt = max(math.nextafter(now, math.inf) - now, 1e-12)
         if self._act_n - self._act_dead <= 1:
             # 0 or 1 active flows — the dominant case for task CPUs and
@@ -707,13 +776,19 @@ class FluidResource:
         The previous pending wakeup (if any) is lazy-cancelled by
         clearing its calendar slot — guarded by an identity check on the
         stored function, because a fired slot returns to the shared pool
-        and may already carry someone else's callback.
+        and may already carry someone else's callback.  The new one takes
+        the tie a deferred submit reserved, if any, else a fresh one.
         """
         cb = self._wakeup_cb
         if cb is not None and cb.fn is self._wakeup_fn:
             cb.fn = None
-        self._wakeup_cb = (self.env.call_later(horizon, self._wakeup_fn)
+        tie, self._tie = self._tie, None
+        self._wakeup_cb = (self.env.call_later(horizon, self._wakeup_fn, tie)
                            if horizon != math.inf else None)
+
+    def _guard(self) -> None:
+        if self._pending:
+            self._rebalance()
 
     def _wakeup(self) -> None:
         self._settle()

@@ -350,6 +350,8 @@ class Environment:
         # the rebalance-heavy fluid layers from allocating one Timeout +
         # lambda per scheduled wakeup).
         self._cb_pool: list[_Callback] = []
+        # Callables queued by call_batched for the pending shared entry.
+        self._batch: list[Callable[[], None]] = []
 
     @property
     def now(self) -> float:
@@ -392,7 +394,8 @@ class Environment:
         ev._add_callback(lambda _e: fn())
         return ev
 
-    def call_later(self, delay: float, fn: Callable[[], None]) -> "_Callback":
+    def call_later(self, delay: float, fn: Callable[[], None],
+                   tie: int | None = None) -> "_Callback":
         """Run *fn* after *delay* through a pooled calendar slot.
 
         The allocation-light variant of :meth:`schedule_callback` for hot
@@ -406,6 +409,13 @@ class Environment:
         one by clearing ``slot.fn`` — but only after checking the slot
         still holds *its own* function (``slot.fn is fn``): a fired slot
         returns to the pool and may already belong to someone else.
+
+        *tie* (internal) is a tie-breaker reserved earlier with
+        ``next(env._counter)``: a caller that defers scheduling to later
+        in the same instant (the coalesced fluid rebalance) files the
+        entry where it would have landed had it scheduled on the spot.
+        It orders heap entries only; a zero-delay callback always joins
+        the back of the same-instant FIFO with a fresh counter.
         """
         if delay < 0:
             raise SimulationError(f"negative call_later delay: {delay}")
@@ -416,9 +426,27 @@ class Environment:
         if delay == 0.0:
             self._nowq.append((next(self._counter), cb))
         else:
-            heapq.heappush(self._queue,
-                           (self._now + delay, next(self._counter), cb))
+            heapq.heappush(self._queue, (
+                self._now + delay,
+                next(self._counter) if tie is None else tie, cb))
         return cb
+
+    def call_batched(self, fn: Callable[[], None]) -> None:
+        """Run *fn* at this instant from one shared zero-delay entry.
+
+        The first call schedules the entry (through :meth:`call_later`);
+        every callable queued before it fires runs from it, in queue
+        order.  A burst of deferred solves across many objects thus
+        costs one calendar event, not one per object.
+        """
+        if not self._batch:
+            self.call_later(0.0, self._run_batch)
+        self._batch.append(fn)
+
+    def _run_batch(self) -> None:
+        batch, self._batch = self._batch, []
+        for fn in batch:
+            fn()
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

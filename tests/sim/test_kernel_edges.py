@@ -160,6 +160,43 @@ class TestCallLaterAtNow:
         env.run()
         assert order == ["now", "future"]
 
+    def test_reserved_tie_files_a_heap_entry_where_it_was_reserved(self):
+        env = Environment()
+        fired = []
+        tie = next(env._counter)
+        env.call_later(1.0, lambda: fired.append("scheduled first"))
+        env.call_later(1.0, lambda: fired.append("reserved first"), tie=tie)
+        env.call_later(0.0, lambda: fired.append("now"), tie=tie)
+        env.run()
+        # The tie orders heap entries only; a zero delay stays FIFO.
+        assert fired == ["now", "reserved first", "scheduled first"]
+
+
+class TestCallBatched:
+    def test_one_entry_runs_every_callable_queued_before_it(self):
+        env = Environment()
+        order = []
+        env.call_later(0.0, lambda: order.append("before"))
+        env.call_batched(lambda: order.append("a"))
+        env.call_later(0.0, lambda: order.append("between"))
+        env.call_batched(lambda: order.append("b"))
+        env.run()
+        assert order == ["before", "a", "b", "between"]
+
+    def test_queueing_after_the_entry_fired_schedules_a_new_one(self):
+        env = Environment()
+        order = []
+
+        def first():
+            order.append("first")
+            env.call_batched(lambda: order.append("second"))
+
+        env.call_batched(first)
+        env.call_later(0.0, lambda: order.append("fifo"))
+        env.run()
+        assert order == ["first", "fifo", "second"]
+        assert env.now == 0.0
+
 
 class TestHeapInvariantProperties:
     @given(st.lists(st.one_of(st.just(0.0),
